@@ -366,11 +366,16 @@ class ChaseEngine:
     fresh_prefix:
         Name prefix for invented nulls.
     observer:
-        An :class:`repro.obs.Observer` receiving the engine's telemetry
-        events.  Defaults to the process-global observer
-        (:func:`repro.obs.set_observer`); pass one explicitly for scoped
-        instrumentation.  When no observer is installed the engine pays
-        a single identity check per event site.
+        An :class:`repro.obs.Observer` receiving the engine's own step
+        events (``chase_step_started``, ``trigger_selected``,
+        ``trigger_index_update``, ``trigger_retired``,
+        ``chase_step_finished``).  Defaults to the process-global
+        observer (:func:`repro.obs.set_observer`).  An explicit observer
+        does not replace the global one: the layers below the engine
+        (core retraction and maintenance, homomorphism search and memo,
+        the compiled kernel) still report only to the global observer.
+        When no observer is installed the engine pays a single identity
+        check per event site.
     use_index:
         When True (the default) the engine maintains the live-trigger
         pool incrementally with a :class:`~repro.chase.trigger_index.
@@ -625,7 +630,8 @@ class ChaseEngine:
             step_index = len(self._steps)
             birth = step_index + self.applications_offset
             if observer is not None:
-                observer.chase_step_started(
+                observer.emit(
+                    "chase_step_started",
                     step=step_index,
                     variant=self.variant,
                     atoms=len(self._current),
@@ -646,7 +652,8 @@ class ChaseEngine:
                 key=lambda tr: (self._ages[self._age_key(tr)], tr.sort_key()),
             )
             if observer is not None:
-                observer.trigger_selected(
+                observer.emit(
+                    "trigger_selected",
                     step=step_index,
                     rule=chosen.rule.name,
                     active=len(active),
@@ -700,7 +707,8 @@ class ChaseEngine:
                             pre_instance.fingerprint()
                         )
                 if observer is not None:
-                    observer.trigger_index_update(
+                    observer.emit(
+                        "trigger_index_update",
                         step=step_index,
                         delta_atoms=delta_stats["delta_atoms"],
                         triggers_new=delta_stats["triggers_new"],
@@ -717,10 +725,12 @@ class ChaseEngine:
             self._steps.append(step)
             performed += 1
             if observer is not None:
-                observer.trigger_retired(
+                observer.emit(
+                    "trigger_retired",
                     step=step_index, rule=chosen.rule.name, reason="applied"
                 )
-                observer.chase_step_finished(
+                observer.emit(
+                    "chase_step_finished",
                     step=step_index,
                     rule=chosen.rule.name,
                     atoms_before=atoms_before,
@@ -736,7 +746,8 @@ class ChaseEngine:
                 if observer is not None:
                     collapsed = before_transport - len(self._ages)
                     if collapsed:
-                        observer.trigger_retired(
+                        observer.emit(
+                            "trigger_retired",
                             step=step_index,
                             rule=None,
                             reason="collapsed",

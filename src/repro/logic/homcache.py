@@ -20,7 +20,7 @@ retracted instance is gone for good, and dropping its entries eagerly
 keeps the memo from filling up with dead states.
 
 The cache is bounded (FIFO eviction of the oldest entries) and reports
-hits/misses through :meth:`repro.obs.Observer.hom_memo_lookup`.
+hits/misses as ``hom_memo_lookup`` events (:mod:`repro.obs`).
 """
 
 from __future__ import annotations

@@ -294,7 +294,7 @@ def find_homomorphism(
         hit, value = cache.lookup(key)
         observer = _observer_state.current
         if observer is not None:
-            observer.hom_memo_lookup(hit=hit, entries=len(cache))
+            observer.emit("hom_memo_lookup", hit=hit, entries=len(cache))
         if hit:
             return value
 
@@ -326,7 +326,8 @@ def find_homomorphism(
     ):
         found = hom
         break
-    observer.homomorphism_search(
+    observer.emit(
+        "homomorphism_search",
         found=found is not None,
         backtracks=stats.get("backtracks", 0),
         source_atoms=stats.get("source_atoms", 0),

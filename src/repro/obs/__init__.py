@@ -11,12 +11,15 @@ exposes them as first-class data instead of burying them in a final
   no-op instruments when disabled;
 * :mod:`repro.obs.observer` — the :class:`Observer` protocol the hot
   paths (chase engine, core retraction, homomorphism search, exact
-  treewidth, robust aggregation) report into, plus the process-global
-  ``current`` observer those paths check with a single attribute test;
+  treewidth, robust aggregation) report into through its one hook,
+  ``emit(kind, **fields)``; the :data:`EVENTS` schema table (payload
+  fields, meaning, emitter and derived metrics of every kind); and the
+  process-global ``current`` observer those paths check with a single
+  attribute test;
 * :mod:`repro.obs.tracer` — :class:`JsonlTracer` /
-  :class:`TracingObserver`, emitting one JSON object per event so a run
+  :class:`TracingObserver`, writing one JSON object per event so a run
   can be replayed offline (``repro stats``), and
-  :class:`MetricsObserver` for metrics-only accounting;
+  :class:`MetricsObserver`, which turns events into metrics;
 * :mod:`repro.obs.spans` — trace contexts (``trace_id`` / ``span_id`` /
   ``parent_span_id``) propagated across the serving tier's process
   boundaries, span open/close events around request lifecycle phases,
@@ -50,7 +53,7 @@ from .metrics import (
     set_registry,
 )
 from .observer import (
-    CompositeObserver,
+    EVENTS,
     Observer,
     get_observer,
     observing,
@@ -76,8 +79,8 @@ from .tracer import (
 )
 
 __all__ = [
-    "CompositeObserver",
     "Counter",
+    "EVENTS",
     "EVENT_KINDS",
     "Gauge",
     "Histogram",

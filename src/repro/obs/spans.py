@@ -166,7 +166,7 @@ def open_span(
     callbacks (the executor's attempt spans); prefer :func:`span`."""
     if observer is None or context is None:
         return
-    observer.span_open(name=name, **context.to_obj(), **attrs)
+    observer.emit("span_open", name=name, **context.to_obj(), **attrs)
 
 
 def close_span(
@@ -182,7 +182,7 @@ def close_span(
         return
     if seconds is not None:
         attrs["seconds"] = seconds
-    observer.span_close(name=name, status=status, **context.to_obj(), **attrs)
+    observer.emit("span_close", name=name, status=status, **context.to_obj(), **attrs)
 
 
 @contextmanager
@@ -212,7 +212,7 @@ def span(
         base = parent if parent is not None else _CURRENT.get()
         context = base.child() if base is not None else TraceContext.new_root()
     started = time.perf_counter()
-    obs.span_open(name=name, **context.to_obj(), **attrs)
+    obs.emit("span_open", name=name, **context.to_obj(), **attrs)
     token = _CURRENT.set(context)
     status = "ok"
     try:
@@ -222,7 +222,8 @@ def span(
         raise
     finally:
         _CURRENT.reset(token)
-        obs.span_close(
+        obs.emit(
+            "span_close",
             name=name,
             status=status,
             seconds=round(time.perf_counter() - started, 6),

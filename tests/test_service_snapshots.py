@@ -188,8 +188,9 @@ class TestAdversarialCorruption:
         events = []
 
         class Spy(Observer):
-            def snapshot_access(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **kw):
+                if kind == "snapshot_access":
+                    events.append(kw)
 
         kb = staircase_kb()
         engine = ChaseEngine(kb, variant="restricted")
@@ -253,8 +254,9 @@ class TestStoreHygiene:
         events = []
 
         class Spy(Observer):
-            def snapshot_access(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **kw):
+                if kind == "snapshot_access":
+                    events.append(kw)
 
         store = SnapshotStore(tmp_path, max_entries=1)
         with observing(Spy()):

@@ -198,8 +198,9 @@ class TestDeltaChains:
         events = []
 
         class Spy(Observer):
-            def snapshot_access(self, **kw):
-                events.append(kw)
+            def emit(self, kind, **kw):
+                if kind == "snapshot_access":
+                    events.append(kw)
 
         kb = staircase_kb()
         store = SnapshotStore(tmp_path)

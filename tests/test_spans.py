@@ -119,7 +119,7 @@ class TestSpan:
         buffer = io.StringIO()
         observer = tracing_observer(buffer)
         with span("outer", observer=observer, op="entail") as outer:
-            observer.service_request(op="entail", coalesced=False)
+            observer.emit("service_request", op="entail", coalesced=False)
             with span("inner", observer=observer) as inner:
                 pass
         events = events_of(buffer)
@@ -198,7 +198,7 @@ class TestTraceReconstruction:
         buffer = io.StringIO()
         observer = tracing_observer(buffer)
         with span("root", observer=observer) as root:
-            observer.service_request(op="entail", coalesced=False)
+            observer.emit("service_request", op="entail", coalesced=False)
             with span("leaf", observer=observer, attempt=1):
                 pass
         events = events_of(buffer)
