@@ -226,7 +226,7 @@ class CompiledTriggerIndex(TriggerIndex):
                     if key in seen:
                         continue
                     seen.add(key)
-                    mapping = Substitution(
+                    mapping = Substitution._trusted(
                         {decode(v): decode(t) for v, t in assignment.items()}
                     )
                     yield Trigger(rule, mapping)

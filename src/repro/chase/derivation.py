@@ -5,7 +5,7 @@ where ``F_0 = σ_0(F)`` and ``F_i = σ_i(α(F_{i-1}, tr_i))`` with ``tr_i`` a
 trigger for ``F_{i-1}`` not satisfied in ``F_{i-1}``, and the
 simplifications ``σ_i`` are retractions.
 
-:class:`Derivation` records, for every step, the trigger, the
+:class:`Derivation` exposes, for every step, the trigger, the
 pre-simplification instance ``A_i = α(F_{i-1}, tr_i)``, the
 simplification, and the instance ``F_i`` — everything downstream
 machinery needs:
@@ -15,22 +15,133 @@ machinery needs:
 * the natural aggregation ``D* = ⋃_i F_i`` (Section 3);
 * the robust sequence/aggregation of Section 8 (built on top of this
   record in :mod:`repro.chase.aggregation`).
+
+Steps recorded by the chase engine do not hold instances.  The engine
+mutates one live instance in place and files each step as a delta —
+the atoms ``added`` by the application (those absent from ``F_{i-1}``)
+and the atoms ``removed`` by ``σ_i`` — in a :class:`StepLog`.  Since
+``A_i = F_{i-1} ⊎ added_i = F_i ⊎ removed_i``, any ``F_i`` is rebuilt by
+replaying deltas forward from an earlier materialized instance or
+backward from a later one (the live instance is always one), and the
+log memoizes what it rebuilds.  A run that never reads past instances
+pays for none of them.  Steps built explicitly from instances (tests,
+one-step derivations) keep the instances they were given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from ..logic.atoms import Atom
 from ..logic.atomset import AtomSet
 from ..logic.kb import KnowledgeBase
 from ..logic.substitution import Substitution
 from .trigger import Trigger, triggers
 
-__all__ = ["DerivationStep", "Derivation"]
+__all__ = ["DerivationStep", "Derivation", "StepLog"]
 
 
-@dataclass(frozen=True)
+class StepLog:
+    """The deltas of one chase run and the live instance they end in.
+
+    Entry ``i`` holds ``(added_i, removed_i)``; entry 0 has no additions
+    and holds what ``σ_0`` removed from the facts.  ``live`` is ``F_k``
+    for the last entry ``k``; the engine mutates it in place as the run
+    advances.  Reading ``F_k`` hands the live object out and sets
+    ``handed_out`` (reads inside an ``on_step`` callback, run through
+    :meth:`lend`, do not count), and the engine calls :meth:`freeze`
+    before its next step, so an instance once handed out never changes.
+
+    The log never refers to the steps that point at it: dropping the
+    last result and engine of a run frees the whole record by reference
+    counting alone.
+    """
+
+    __slots__ = ("added", "removed", "live", "handed_out", "_materialized")
+
+    def __init__(self, live: AtomSet, removed: Sequence[Atom] = ()):
+        self.added: list[tuple[Atom, ...]] = [()]
+        self.removed: list[tuple[Atom, ...]] = [tuple(removed)]
+        self.live = live
+        self.handed_out = False
+        #: index -> F_index, rebuilt on a read (or frozen) and kept.
+        self._materialized: dict[int, AtomSet] = {}
+
+    @property
+    def live_index(self) -> int:
+        return len(self.added) - 1
+
+    def append(self, added: Sequence[Atom], removed: Sequence[Atom]) -> None:
+        """Record the step the engine just performed on the live
+        instance."""
+        self.added.append(tuple(added))
+        self.removed.append(tuple(removed))
+
+    def lend(self, on_step, step: "DerivationStep") -> None:
+        """Call ``on_step(step)``; a live instance it reads is lent for
+        the call only and does not count as handed out."""
+        on_step(step)
+        self.handed_out = False
+
+    def freeze(self) -> AtomSet:
+        """The live instance the engine may mutate next.  If ``F_k`` was
+        handed out, it is filed as materialized and the engine goes on
+        with a copy."""
+        if self.handed_out:
+            self._materialized[self.live_index] = self.live
+            self.live = self.live.copy()
+            self.handed_out = False
+        return self.live
+
+    def instance(self, index: int) -> AtomSet:
+        """``F_index`` (the live instance itself for the last entry), for
+        read-only use."""
+        if index == self.live_index:
+            self.handed_out = True
+        return self._get(index)
+
+    def pre_instance(self, index: int) -> AtomSet:
+        """``A_index = F_index ⊎ removed_index`` — ``F_index`` itself when
+        the simplification removed nothing, else a fresh atomset."""
+        removed = self.removed[index]
+        if not removed:
+            return self.instance(index)
+        pre = self._get(index).copy()
+        pre.update(removed)
+        return pre
+
+    def _get(self, index: int) -> AtomSet:
+        if index == self.live_index:
+            return self.live
+        found = self._materialized.get(index)
+        if found is None:
+            found = self._materialized[index] = self._replay(index)
+        return found
+
+    def _replay(self, index: int) -> AtomSet:
+        """Rebuild ``F_index`` from the nearest materialized predecessor
+        (forward: add, then remove) or, failing one, from the nearest
+        later instance (backward: re-add the removed, drop the added)."""
+        below = [j for j in self._materialized if j < index]
+        if below:
+            start = max(below)
+            result = self._materialized[start].copy()
+            for step in range(start + 1, index + 1):
+                result.update(self.added[step])
+                for at in self.removed[step]:
+                    result.discard(at)
+            return result
+        above = [j for j in self._materialized if j > index]
+        start = min(above) if above else self.live_index
+        source = self._materialized[start] if above else self.live
+        result = source.copy()
+        for step in range(start, index, -1):
+            result.update(self.removed[step])
+            for at in self.added[step]:
+                result.discard(at)
+        return result
+
+
 class DerivationStep:
     """One element of a derivation.
 
@@ -47,17 +158,105 @@ class DerivationStep:
         The retraction ``σ_i`` with ``F_i = σ_i(A_i)``.
     instance:
         ``F_i``.
+    added, removed:
+        For engine-recorded steps, the atoms the application added
+        (absent from ``F_{i-1}``, in head order) and the atoms ``σ_i``
+        removed (sorted); None for steps built from instances.
+
+    ``instance`` and ``pre_instance`` of an engine-recorded step are
+    resolved through the run's :class:`StepLog`.  Inside an ``on_step``
+    callback the current step's ``instance`` is the engine's live
+    instance, valid only until the callback returns.
     """
 
-    index: int
-    trigger: Optional[Trigger]
-    pre_instance: AtomSet
-    simplification: Substitution
-    instance: AtomSet
+    __slots__ = (
+        "index",
+        "trigger",
+        "simplification",
+        "added",
+        "removed",
+        "_pre_instance",
+        "_instance",
+        "_log",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        trigger: Optional[Trigger],
+        pre_instance: AtomSet,
+        simplification: Substitution,
+        instance: AtomSet,
+    ):
+        for name, value in (
+            ("index", index),
+            ("trigger", trigger),
+            ("simplification", simplification),
+            ("added", None),
+            ("removed", None),
+            ("_pre_instance", pre_instance),
+            ("_instance", instance),
+            ("_log", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def logged(
+        cls,
+        log: StepLog,
+        index: int,
+        trigger: Optional[Trigger],
+        simplification: Substitution,
+    ) -> "DerivationStep":
+        """The step filed as entry *index* of *log*."""
+        step = cls(index, trigger, None, simplification, None)
+        for name, value in (
+            ("added", log.added[index]),
+            ("removed", log.removed[index]),
+            ("_log", log),
+        ):
+            object.__setattr__(step, name, value)
+        return step
+
+    def __setattr__(self, key, value):
+        raise AttributeError("DerivationStep is immutable")
+
+    @property
+    def instance(self) -> AtomSet:
+        if self._log is None:
+            return self._instance
+        return self._log.instance(self.index)
+
+    @property
+    def pre_instance(self) -> AtomSet:
+        if self._log is None:
+            return self._pre_instance
+        return self._log.pre_instance(self.index)
 
     def is_identity_step(self) -> bool:
         """True iff the simplification did nothing."""
         return len(self.simplification.drop_trivial()) == 0
+
+    def new_atoms(self) -> list[Atom]:
+        """``F_i \\ F_{i-1}`` for an engine-recorded step ``i ≥ 1``: the
+        added atoms the simplification kept (``F_i ⊆ F_{i-1} ⊎ added_i``),
+        read off the log without touching an instance."""
+        if self.added is None:
+            raise ValueError("only engine-recorded steps carry deltas")
+        if not self.removed:
+            return list(self.added)
+        removed = set(self.removed)
+        return [at for at in self.added if at not in removed]
+
+    def atoms_retracted(self) -> int:
+        """``|A_i| - |F_i|``: how many atoms the simplification removed."""
+        if self.removed is not None:
+            return len(self.removed)
+        return len(self.pre_instance) - len(self.instance)
+
+    def __repr__(self) -> str:
+        rule = self.trigger.rule.name if self.trigger is not None else None
+        return f"DerivationStep({self.index}, {rule})"
 
 
 class Derivation:
@@ -100,11 +299,19 @@ class Derivation:
             yield step.instance
 
     def is_monotonic(self) -> bool:
-        """True iff ``F_{i-1} ⊆ F_i`` for all recorded ``i``."""
-        return all(
-            self.steps[i - 1].instance.issubset(self.steps[i].instance)
-            for i in range(1, len(self.steps))
-        )
+        """True iff ``F_{i-1} ⊆ F_i`` for all recorded ``i``.
+
+        A logged step is monotone iff ``removed ⊆ added`` (the removed
+        atoms lie in ``A_i = F_{i-1} ⊎ added``), so no instance is
+        rebuilt for engine-recorded derivations."""
+        for i in range(1, len(self.steps)):
+            step = self.steps[i]
+            if step.removed is not None:
+                if step.removed and not set(step.removed) <= set(step.added):
+                    return False
+            elif not self.steps[i - 1].instance.issubset(step.instance):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # trace homomorphisms (Definition 2)
@@ -136,9 +343,11 @@ class Derivation:
         general it may fail to be a model of the KB (the staircase makes
         this dramatic) but is always universal (Proposition 1)."""
         limit = len(self.steps) if upto is None else upto + 1
-        result = AtomSet()
-        for step in self.steps[:limit]:
-            result.update(step.instance)
+        result = AtomSet(self.steps[0].instance)
+        for step in self.steps[1:limit]:
+            result.update(
+                step.instance if step.added is None else step.new_atoms()
+            )
         return result
 
     def check_fairness_prefix(self, upto: Optional[int] = None) -> list[Trigger]:

@@ -211,7 +211,7 @@ def standard_chase(
                 return EgdChaseResult(
                     instance, True, False, tgd_applications, egd_applications
                 )
-            instance, _ = apply_trigger(instance, pending, fresh)
+            apply_trigger(instance, pending, fresh)
             tgd_applications += 1
             instance, done = _saturate_egds(
                 instance, egd_list, max_steps - egd_applications

@@ -71,7 +71,7 @@ from ..logic.substitution import Substitution
 from ..logic.terms import FreshVariableSource
 from ..obs import observer as _observer_state
 from ..obs.observer import Observer
-from .derivation import Derivation, DerivationStep
+from .derivation import Derivation, DerivationStep, StepLog
 from .trigger import Trigger, apply_trigger, triggers
 from .compiled_index import CompiledTriggerIndex
 from .trigger_index import TriggerIndex
@@ -158,11 +158,9 @@ class ChaseResult:
     @property
     def atoms_retracted(self) -> int:
         """Total atoms removed by simplifications over the whole run —
-        the integral of the paper's per-step retraction series."""
-        return sum(
-            len(step.pre_instance) - len(step.instance)
-            for step in self.derivation.steps
-        )
+        the integral of the paper's per-step retraction series, read off
+        the step log."""
+        return sum(step.atoms_retracted() for step in self.derivation.steps)
 
     def __repr__(self) -> str:
         status = "terminated" if self.terminated else "budget-exhausted"
@@ -434,24 +432,30 @@ class ChaseEngine:
 
         ``on_step`` (if given) is invoked with every recorded step —
         the experiment harness uses it to measure per-step treewidths
-        without retaining anything extra.  ``should_stop`` (if given) is
-        polled before every step; once it returns True the run halts
-        with ``stopped=True`` on the result.  The engine keeps its state
+        without retaining anything extra.  The engine mutates one live
+        instance in place, and inside the callback ``step.instance`` is
+        that live instance: it is valid only until the callback returns,
+        so a callback that keeps an instance must copy it.  Instances
+        read from a result afterwards (``final_instance``,
+        ``derivation.instance(i)``) never change, also across
+        :meth:`resume`.  ``should_stop`` (if given) is polled before
+        every step; once it returns True the run halts with
+        ``stopped=True`` on the result.  The engine keeps its state
         afterward, so :meth:`resume` can continue the same derivation.
         """
         with self._index_scope():
-            raw_facts = self.kb.facts.copy()
+            current = self.kb.facts.copy()
             self._maintainer = self._make_maintainer()
             self._delta_since_core: list = []
             if self.variant == ChaseVariant.CORE:
                 if self._maintainer is not None:
-                    sigma0 = self._maintainer.retract(raw_facts)
+                    sigma0 = self._maintainer.retract(current)
                 else:
-                    sigma0 = core_retraction(raw_facts)
+                    sigma0 = core_retraction(current)
             else:
                 sigma0 = Substitution.identity()
-            current = sigma0.apply(raw_facts)
-            self._steps = [DerivationStep(0, None, raw_facts, sigma0, current)]
+            self._log = StepLog(current, current.retract(sigma0))
+            self._steps = [DerivationStep.logged(self._log, 0, None, sigma0)]
             self._current = current
             self._applied_keys: set = set()  # oblivious / semi-oblivious memory
             self._ages: dict = {}  # canonical trigger key -> birth step
@@ -463,7 +467,7 @@ class ChaseEngine:
             self.applications_offset = 0
             self._install_index(current)
             if on_step is not None:
-                on_step(self._steps[0])
+                self._log.lend(on_step, self._steps[0])
             return self._advance(max_steps, on_step, should_stop)
 
     def resume(
@@ -492,7 +496,9 @@ class ChaseEngine:
 
     @property
     def current_instance(self) -> AtomSet:
-        """The latest ``F_i`` of the run in progress (read-only use)."""
+        """The latest ``F_i`` of the run in progress: the live instance,
+        for read-only use before the next :meth:`resume`, which mutates
+        it."""
         if not hasattr(self, "_steps"):
             raise RuntimeError("current_instance requires a prior run()")
         return self._current
@@ -547,9 +553,10 @@ class ChaseEngine:
             )
             self._maintainer = self._make_maintainer()
             self._delta_since_core = list(state.delta_since_core)
+            self._log = StepLog(current)
             self._steps = [
-                DerivationStep(
-                    0, None, current, Substitution.identity(), current
+                DerivationStep.logged(
+                    self._log, 0, None, Substitution.identity()
                 )
             ]
             self._current = current
@@ -618,6 +625,9 @@ class ChaseEngine:
             if self.observer is not None
             else _observer_state.current
         )
+        log = self._log
+        # A live instance handed out by an earlier result stays with it.
+        current = self._current = log.freeze()
         performed = 0
         stopped = False
         while performed < budget and not self._terminated:
@@ -634,14 +644,12 @@ class ChaseEngine:
                     "chase_step_started",
                     step=step_index,
                     variant=self.variant,
-                    atoms=len(self._current),
+                    atoms=len(current),
                 )
             if self._index is not None:
                 active = self._indexed_active_triggers()
             else:
-                active = self._active_triggers(
-                    self._current, self._applied_keys
-                )
+                active = self._active_triggers(current, self._applied_keys)
             if not active:
                 self._terminated = True
                 break
@@ -658,19 +666,15 @@ class ChaseEngine:
                     rule=chosen.rule.name,
                     active=len(active),
                 )
-            atoms_before = len(self._current)
-            pre_instance, pi_safe = apply_trigger(
-                self._current, chosen, self._fresh
+            # The step runs on the live instance: add Δ (F_{i-1} → A_i),
+            # compute σ_i reading A_i, let the trigger index absorb Δ,
+            # then discard what σ_i removes (A_i → F_i) and transport.
+            atoms_before = len(current)
+            old_terms = (
+                current.terms() if self.variant == ChaseVariant.FRUGAL else None
             )
+            _pi_safe, delta = apply_trigger(current, chosen, self._fresh)
             self._applied_keys.add(self._memory_key(chosen))
-            delta: list = []
-            if self._index is not None:
-                seen_delta: set = set()
-                for head_atom in chosen.rule.head.sorted_atoms():
-                    atom = pi_safe.apply_atom(head_atom)
-                    if atom not in seen_delta and atom not in self._current:
-                        seen_delta.add(atom)
-                        delta.append(atom)
 
             self._applications_since_core += 1
             if self._maintainer is not None:
@@ -681,31 +685,34 @@ class ChaseEngine:
             ):
                 if self._maintainer is not None:
                     sigma = self._maintainer.retract(
-                        pre_instance, self._delta_since_core
+                        current, self._delta_since_core
                     )
                     self._delta_since_core = []
                 else:
-                    sigma = core_retraction(pre_instance)
+                    sigma = core_retraction(current)
                 self._applications_since_core = 0
             elif self.variant == ChaseVariant.FRUGAL:
-                sigma = _frugal_retraction(pre_instance, self._current.terms())
+                sigma = _frugal_retraction(current, old_terms)
             else:
                 sigma = Substitution.identity()
-            self._current = sigma.apply(pre_instance)
             proper_retraction = len(sigma.drop_trivial()) > 0
+            atoms_applied = len(current)
             if self._index is not None:
                 delta_stats = self._index.apply_delta(
-                    pre_instance, delta, satisfied_hint=chosen
+                    current, delta, satisfied_hint=chosen
                 )
+            removed: list = []
+            if proper_retraction:
+                applied_fingerprint = current.fingerprint()
+                removed = current.retract(sigma)
+            if self._index is not None:
                 transport_stats = {"transported": 0, "collapsed": 0}
                 if proper_retraction:
                     transport_stats = self._index.transport(sigma)
                     if _indexing.hom_memo_enabled():
-                        # The pre-application instance is superseded for
-                        # good once a proper retraction fires.
-                        _homcache.get_cache().invalidate(
-                            pre_instance.fingerprint()
-                        )
+                        # A_i is superseded for good once a proper
+                        # retraction fires.
+                        _homcache.get_cache().invalidate(applied_fingerprint)
                 if observer is not None:
                     observer.emit(
                         "trigger_index_update",
@@ -719,9 +726,8 @@ class ChaseEngine:
                         transported=transport_stats["transported"],
                         collapsed=transport_stats["collapsed"],
                     )
-            step = DerivationStep(
-                step_index, chosen, pre_instance, sigma, self._current
-            )
+            log.append(delta, removed)
+            step = DerivationStep.logged(log, step_index, chosen, sigma)
             self._steps.append(step)
             performed += 1
             if observer is not None:
@@ -734,12 +740,12 @@ class ChaseEngine:
                     step=step_index,
                     rule=chosen.rule.name,
                     atoms_before=atoms_before,
-                    atoms_applied=len(pre_instance),
-                    atoms_after=len(self._current),
-                    retracted=len(pre_instance) - len(self._current),
+                    atoms_applied=atoms_applied,
+                    atoms_after=len(current),
+                    retracted=len(removed),
                 )
             if on_step is not None:
-                on_step(step)
+                log.lend(on_step, step)
             if proper_retraction:
                 before_transport = len(self._ages)
                 self._ages = self._transport_ages(self._ages, sigma)

@@ -85,9 +85,13 @@ class ProvenanceIndex:
                     for at in trigger.rule.body.sorted_atoms()
                 )
             )
-            previous = derivation.instance(index - 1)
-            for at in step.instance:
-                if at not in self._creators and at not in previous:
+            if step.added is not None:
+                created = step.new_atoms()  # read off the step log
+            else:
+                previous = derivation.instance(index - 1)
+                created = [at for at in step.instance if at not in previous]
+            for at in created:
+                if at not in self._creators:
                     self._creators[at] = (index, trigger.rule.name, body_image)
 
     def creator(self, at: Atom) -> tuple[int, Optional[str]]:

@@ -5,7 +5,8 @@ Given an instance ``I`` and a rule ``B → H``, a *trigger* is a pair
 *satisfied* in ``I`` if ``π`` extends to a homomorphism from ``B ∪ H`` to
 ``I`` (Section 2).  Applying a trigger produces
 ``α(I, tr) = I ∪ π_safe(H)`` where ``π_safe`` maps frontier variables
-like ``π`` and existential variables to fresh nulls.
+like ``π`` and existential variables to fresh nulls;
+:func:`apply_trigger` performs it on the instance in place.
 
 Activity notions per chase variant (Section 3) are also defined here:
 
@@ -204,12 +205,13 @@ def apply_trigger(
     instance: AtomSet,
     trigger: Trigger,
     fresh: FreshVariableSource,
-) -> tuple[AtomSet, Substitution]:
-    """``α(I, tr)``: apply *trigger* to *instance*.
+) -> tuple[Substitution, list[Atom]]:
+    """``α(I, tr)``: apply *trigger* to *instance*, in place.
 
-    Returns the new instance (a fresh :class:`AtomSet`; the input is not
-    mutated) and the safe substitution ``π_safe`` used, whose domain is
-    frontier ∪ existential variables of the rule.
+    Adds ``π_safe(H)`` to *instance* and returns ``(π_safe, delta)``:
+    the safe substitution used, whose domain is frontier ∪ existential
+    variables of the rule, and the head atoms that were actually new,
+    in head order.  Callers that need the old instance copy it first.
     """
     rule = trigger.rule
     safe_map: dict[Variable, Term] = {}
@@ -218,6 +220,9 @@ def apply_trigger(
     for var in sorted(rule.existential, key=lambda v: v.name):
         safe_map[var] = fresh.fresh(hint=var)
     pi_safe = Substitution(safe_map)
-    result = instance.copy()
-    result.update(pi_safe.apply_atom(at) for at in rule.head.sorted_atoms())
-    return result, pi_safe
+    delta: list[Atom] = []
+    for head_atom in rule.head.sorted_atoms():
+        at = pi_safe.apply_atom(head_atom)
+        if instance.add(at):
+            delta.append(at)
+    return pi_safe, delta

@@ -24,7 +24,7 @@ class Predicate:
     never compare equal).
     """
 
-    __slots__ = ("name", "arity")
+    __slots__ = ("name", "arity", "_hash")
 
     def __init__(self, name: str, arity: int):
         if not isinstance(name, str) or not name:
@@ -33,6 +33,10 @@ class Predicate:
             raise ValueError(f"predicate arity must be a non-negative int, got {arity!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arity", arity)
+        # Cached like a term's hash; the value is the one a
+        # ``(name, arity)`` tuple hashes to, so iteration orders are
+        # unchanged.
+        object.__setattr__(self, "_hash", hash((name, arity)))
 
     def __setattr__(self, key, value):  # pragma: no cover - defensive
         raise AttributeError("Predicate is immutable")
@@ -48,7 +52,7 @@ class Predicate:
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return hash((self.name, self.arity))
+        return self._hash
 
     def __lt__(self, other: "Predicate") -> bool:
         if not isinstance(other, Predicate):

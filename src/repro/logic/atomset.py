@@ -57,6 +57,7 @@ class AtomSet:
         "_fp_sum",
         "_compiled",
         "_sorted",
+        "__weakref__",
     )
 
     #: Mask keeping the incremental fingerprint sum in one machine word.
@@ -286,9 +287,10 @@ class AtomSet:
     def copy(self) -> "AtomSet":
         """An independent copy.  Indexes are copied container-by-container
         (C-level set/dict copies) rather than rebuilt atom-by-atom, and an
-        attached compiled view is cloned the same way — the chase
-        snapshots its instance every step, so copy cost is on the
-        per-application path of every engine."""
+        attached compiled view is cloned the same way.  The chase itself
+        mutates one live instance in place; copies are taken for
+        checkpoints and when a derivation materializes a past instance
+        (:class:`repro.chase.derivation.StepLog`)."""
         new = AtomSet.__new__(AtomSet)
         new._atoms = set(self._atoms)
         new._by_predicate = {
@@ -339,6 +341,27 @@ class AtomSet:
     def apply(self, substitution: "Substitution") -> "AtomSet":
         """``σ(A)``: a new atomset with the substitution applied."""
         return AtomSet(substitution.apply_atom(at) for at in self._atoms)
+
+    def retract(self, retraction: "Substitution") -> list[Atom]:
+        """Apply *retraction* in place and return the removed atoms,
+        sorted.
+
+        For a retraction ``σ`` of this atomset (an idempotent
+        endomorphism) ``σ(A)`` is exactly ``A`` minus every atom that
+        mentions a variable ``σ`` moves: an atom without one is fixed,
+        and an atom with one maps onto a fixed atom.  So the atoms go
+        through the term index in O(removed), and an attached compiled
+        view is updated rather than rebuilt.  Nothing checks that ``σ``
+        is a retraction of this atomset; the caller guarantees it.
+        """
+        doomed: set[Atom] = set()
+        for var, image in retraction.items():
+            if image != var:
+                doomed.update(self._by_term.get(var, ()))
+        removed = sorted(doomed)
+        for at in removed:
+            self.discard(at)
+        return removed
 
     def restrict_predicates(self, predicates: Iterable[Predicate]) -> "AtomSet":
         """A new atomset keeping only atoms over the given predicates."""

@@ -367,7 +367,7 @@ def compiled_homomorphisms(
         _stats=_stats,
         source_set=source_set,
     ):
-        yield Substitution(
+        yield Substitution._trusted(
             {
                 decode(var): decode(term)
                 for var, term in assignment.items()

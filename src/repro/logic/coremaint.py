@@ -158,12 +158,22 @@ class CoreMaintainer:
     instance sequence — the chase engine owns one per run."""
 
     def __init__(self) -> None:
-        #: The core certified by the previous call (None before that).
-        self.core: Optional[AtomSet] = None
+        #: The atoms of the core certified by the previous call (None
+        #: before that).  A frozen set, not an atomset: the chase retracts
+        #: its live instance in place, so the core is filed by value.
+        self._core: Optional[frozenset[Atom]] = None
+        #: The variables of the certified core.
+        self._core_variables: frozenset[Variable] = frozenset()
         #: var -> neighborhood fingerprint it was certified under.
         self.certificates: dict[Variable, tuple] = {}
         #: Telemetry of the most recent :meth:`retract` call.
         self.last_stats: dict = {}
+
+    @property
+    def core(self) -> Optional[AtomSet]:
+        """The certified core as a new atomset (None before the first
+        call) — for inspection; the maintainer itself never builds it."""
+        return None if self._core is None else AtomSet(self._core)
 
     # ------------------------------------------------------------------
 
@@ -196,7 +206,7 @@ class CoreMaintainer:
 
         usable = (
             delta is not None
-            and self.core is not None
+            and self._core is not None
             and self._delta_extends_core(pre_instance, delta)
         )
         if usable:
@@ -207,18 +217,17 @@ class CoreMaintainer:
         else:
             total, current = _fold_pass(pre_instance, _stats=stats)
 
-        if total:
-            sigma = total.fold_to_retraction(pre_instance)
-            core = sigma.apply(pre_instance)
-        else:
-            sigma = total
-            core = pre_instance
-        # `core` equals `current` as a set: the idempotent fold of an
+        sigma = total.fold_to_retraction(pre_instance) if total else total
+        # `current` equals σ(pre) as a set: the idempotent fold of an
         # endomorphism onto a core retracts onto that same core (the
         # fold restricted to the core is a retraction of a core, hence
-        # the identity).  Certificates are filed against `core`.
-        self._refresh_certificates(core, stats)
-        self.core = core
+        # the identity).  Certificates are filed against it, read
+        # before the caller retracts *pre_instance* in place.
+        core = current
+        core_variables = core.variables()
+        self._refresh_certificates(core, core_variables, stats)
+        self._core = frozenset(core._atoms)
+        self._core_variables = core_variables
         self.last_stats = stats
 
         if observer is not None:
@@ -228,7 +237,7 @@ class CoreMaintainer:
                 atoms_before=len(pre_instance),
                 atoms_after=len(core),
                 variables_folded=len(pre_instance.variables())
-                - len(core.variables()),
+                - len(core_variables),
                 seconds=seconds,
             )
             observer.emit(
@@ -255,14 +264,15 @@ class CoreMaintainer:
         self, pre_instance: AtomSet, delta: Sequence[Atom]
     ) -> bool:
         """True iff ``pre_instance = stored core ⊎ delta`` — the
-        precondition of every incremental lemma."""
-        core = self.core
+        precondition of every incremental lemma, checked as exact set
+        relations."""
+        core = self._core
         fresh = [at for at in delta if at not in core]
         if len(core) + len(fresh) != len(pre_instance):
             return False
         if len(set(fresh)) != len(fresh):
             return False
-        return core.issubset(pre_instance) and all(
+        return core <= pre_instance._atoms and all(
             at in pre_instance for at in fresh
         )
 
@@ -273,8 +283,9 @@ class CoreMaintainer:
     def _incremental_pass(
         self, pre_instance: AtomSet, delta: list[Atom], stats: dict
     ) -> tuple[Substitution, AtomSet]:
-        clean = self.core
-        clean_vars = frozenset(clean.variables())
+        # The clean part is pre_instance restricted to the stored core.
+        clean = self._core
+        clean_vars = self._core_variables
         dirty_atoms = [at for at in delta if at not in clean]
 
         # Entry invalidation: a certified variable occurring in a delta
@@ -418,7 +429,7 @@ class CoreMaintainer:
         return total, current
 
     def _escape_scan(
-        self, current: AtomSet, clean: AtomSet, stats: dict
+        self, current: AtomSet, clean: frozenset, stats: dict
     ) -> tuple[Optional[Substitution], bool]:
         """Search for a proper endomorphism of *current* through every
         unifiable (old atom, delta atom) pin (L2).
@@ -456,10 +467,14 @@ class CoreMaintainer:
 
         seen_pins: set[Substitution] = set()
         for delta_atom in dirty:
-            pool = clean._with_predicate_raw(delta_atom.predicate)
+            # Clean atoms still in `current` (earlier folds of this
+            # call may have removed some).
+            pool = [
+                at
+                for at in current._with_predicate_raw(delta_atom.predicate)
+                if at in clean
+            ]
             for old_atom in sorted(pool, key=Atom.sort_key):
-                if old_atom not in current:
-                    continue  # folded away earlier in this call
                 if not old_atom.variables():
                     continue  # ground atoms never witness an escape
                 pin = _unify_onto(old_atom, delta_atom)
@@ -504,7 +519,9 @@ class CoreMaintainer:
     # certificate transport
     # ------------------------------------------------------------------
 
-    def _refresh_certificates(self, core: AtomSet, stats: dict) -> None:
+    def _refresh_certificates(
+        self, core: AtomSet, core_variables: frozenset, stats: dict
+    ) -> None:
         """File certificates for the new *core*, recomputing only where
         the step could have changed a neighborhood.
 
@@ -520,22 +537,21 @@ class CoreMaintainer:
         transportable = (
             stats["mode"] == "incremental"
             and not stats["clean_broken"]
-            and self.core is not None
+            and self._core is not None
         )
         refreshed: dict[Variable, tuple] = {}
         if transportable:
-            clean = self.core
+            clean = self._core
             touched: set[Variable] = set()
-            for at in core:
-                if at not in clean:
-                    touched.update(at.variables())
-            for var in core.variables():
+            for at in core._atoms.difference(clean):
+                touched.update(at.variables())
+            for var in core_variables:
                 cert = self.certificates.get(var)
                 if cert is not None and var not in touched:
                     refreshed[var] = cert  # σ-transported verbatim
                 else:
                     refreshed[var] = _neighborhood_fingerprint(core, var)
         else:
-            for var in core.variables():
+            for var in core_variables:
                 refreshed[var] = _neighborhood_fingerprint(core, var)
         self.certificates = refreshed

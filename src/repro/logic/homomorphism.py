@@ -233,7 +233,7 @@ def homomorphisms(
 
     def search() -> Iterator[Substitution]:
         if not remaining:
-            yield Substitution(
+            yield Substitution._trusted(
                 {v: t for v, t in assignment.items() if v in source_vars}
             )
             return

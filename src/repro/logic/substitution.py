@@ -59,6 +59,17 @@ class Substitution:
     # ------------------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, mapping: dict) -> "Substitution":
+        """Adopt *mapping* without the per-binding type checks — for the
+        homomorphism searches, whose witnesses bind variables drawn from
+        atoms to terms drawn from atoms.  The dict is taken over, not
+        copied."""
+        new = cls.__new__(cls)
+        object.__setattr__(new, "_map", mapping)
+        object.__setattr__(new, "_hash", None)
+        return new
+
+    @classmethod
     def identity(cls) -> "Substitution":
         """The empty substitution (identity on every term)."""
         return cls()

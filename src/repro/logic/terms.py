@@ -39,10 +39,12 @@ class Term:
 
     Terms are immutable value objects; equality and hashing are by kind
     and name so that parsing the same text twice yields interchangeable
-    objects.
+    objects.  Subclasses compute the hash once, at construction, into the
+    ``_hash`` slot: every set and dict of the library hashes terms, far
+    more often than terms are created.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     name: str
 
@@ -95,6 +97,7 @@ class Variable(Term):
                 rank = next(_RANK_COUNTER)
                 Variable._rank_by_name[name] = rank
         object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_hash", hash(("var", name)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and other.name == self.name
@@ -103,7 +106,7 @@ class Variable(Term):
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return hash(("var", self.name))
+        return self._hash
 
     def __lt__(self, other: "Variable") -> bool:
         """Default ``<_X`` order: by creation rank (ties impossible)."""
@@ -120,6 +123,10 @@ class Constant(Term):
 
     __slots__ = ()
 
+    def __init__(self, name: str):
+        super().__init__(name)
+        object.__setattr__(self, "_hash", hash(("const", name)))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Constant) and other.name == self.name
 
@@ -127,7 +134,7 @@ class Constant(Term):
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return hash(("const", self.name))
+        return self._hash
 
     def __lt__(self, other: "Constant") -> bool:
         if not isinstance(other, Constant):

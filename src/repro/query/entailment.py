@@ -106,7 +106,10 @@ def chase_entails_prefix(
     def on_step(step) -> None:
         if hit[0]:
             return
-        added = aggregation.update(step.instance)
+        # D*_i = D*_{i-1} ∪ (F_i \ F_{i-1}): only the step's new atoms.
+        added = aggregation.update(
+            step.new_atoms() if step.index > 0 else step.instance
+        )
         if added == 0 and step.index > 0:
             # The aggregation is unchanged, so the previous (negative)
             # query test still stands — and even when a later step does

@@ -90,7 +90,10 @@ def decide_union_entailment(
     def on_step(step) -> None:
         if hit[0]:
             return
-        added = aggregation.update(step.instance)
+        # D*_i = D*_{i-1} ∪ (F_i \ F_{i-1}): only the step's new atoms.
+        added = aggregation.update(
+            step.new_atoms() if step.index > 0 else step.instance
+        )
         if added == 0 and step.index > 0:
             # unchanged aggregation: the previous per-disjunct tests
             # still stand (and repeats are memoized anyway)

@@ -15,10 +15,14 @@ from __future__ import annotations
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import core_chase, run_chase
 from repro.analysis.planner import Planner
 from repro.chase.aggregation import robust_aggregation
@@ -620,16 +624,40 @@ class TestEmitContract:
         contract.check({"treewidth_search", "robust_step"})
 
 
+_GOLDEN_SCRIPT = """
+import sys
+from repro import core_chase
+from repro.kbs.elevator import elevator_kb
+from repro.obs import JsonlTracer, TracingObserver, observing
+
+with observing(TracingObserver(JsonlTracer(sys.stdout))):
+    core_chase(elevator_kb(), max_steps=12)
+"""
+
+
 class TestGoldenTrace:
     def test_elevator_core_chase_trace_is_unchanged(self):
         # The fixture is the TracingObserver stream of this run without
         # its clock fields; `repro stats` and `repro trace` read exactly
-        # these lines.
-        get_cache().clear()
-        buf = io.StringIO()
-        with observing(TracingObserver(JsonlTracer(buf))):
-            core_chase(elevator_kb(), max_steps=12)
-        events = read_trace(io.StringIO(buf.getvalue()))
+        # these lines.  Interner codes and fresh-null ranks are handed
+        # out first-come for the whole process, and search counters
+        # such as `backtracks` follow them, so the run happens in a
+        # fresh interpreter with a pinned string-hash seed: what ran
+        # earlier in the test session cannot shift the stream.
+        src = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _GOLDEN_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        events = read_trace(io.StringIO(completed.stdout))
         for event in events:
             for key in ("t", "ts", "seconds"):
                 event.pop(key, None)

@@ -74,35 +74,37 @@ class TestApplication:
     def test_apply_creates_fresh_nulls(self):
         rule = parse_rule("[R] p(X) -> e(X, Y), p(Y)")
         instance = parse_atoms("p(a)")
+        before = instance.copy()
         trigger = next(iter(triggers(rule, instance)))
-        result, pi_safe = apply_trigger(instance, trigger, FreshVariableSource())
-        assert len(result) == 3
+        pi_safe, delta = apply_trigger(instance, trigger, FreshVariableSource())
+        assert len(instance) == 3
+        assert len(delta) == 2
         fresh = pi_safe.apply_term(Y)
-        assert fresh not in instance.terms()
-        assert fresh in result.terms()
+        assert fresh not in before.terms()
+        assert fresh in instance.terms()
 
-    def test_apply_does_not_mutate_input(self):
-        rule = parse_rule("[R] p(X) -> q(X)")
+    def test_apply_mutates_input_and_reports_only_new_atoms(self):
+        rule = parse_rule("[R] p(X) -> q(X), p(X)")
         instance = parse_atoms("p(a)")
         trigger = next(iter(triggers(rule, instance)))
-        apply_trigger(instance, trigger, FreshVariableSource())
-        assert len(instance) == 1
+        _, delta = apply_trigger(instance, trigger, FreshVariableSource())
+        assert instance == parse_atoms("p(a), q(a)")
+        assert delta == parse_atoms("q(a)").sorted_atoms()  # p(a) was there
 
     def test_apply_maps_frontier_correctly(self):
         rule = parse_rule("[R] e(X, Y) -> e(Y, Z)")
         instance = parse_atoms("e(a, b)")
         trigger = next(iter(triggers(rule, instance)))
-        result, pi_safe = apply_trigger(instance, trigger, FreshVariableSource())
+        pi_safe, delta = apply_trigger(instance, trigger, FreshVariableSource())
         assert pi_safe.apply_term(Y) == b
-        new_atoms = result.difference(instance)
-        assert len(new_atoms) == 1
-        assert next(iter(new_atoms)).args[0] == b
+        assert len(delta) == 1
+        assert delta[0].args[0] == b
 
     def test_distinct_existentials_get_distinct_nulls(self):
         rule = parse_rule("[R] p(X) -> e(X, Y), e(X, Z)")
         instance = parse_atoms("p(a)")
         trigger = next(iter(triggers(rule, instance)))
-        _, pi_safe = apply_trigger(instance, trigger, FreshVariableSource())
+        pi_safe, _ = apply_trigger(instance, trigger, FreshVariableSource())
         assert pi_safe.apply_term(Y) != pi_safe.apply_term(Z)
 
 

@@ -131,19 +131,19 @@ class TestTriggerIndexMaintenance:
         pool = index.live_triggers()
         assert pool, "seed 2 is known to produce initial triggers"
         chosen = sorted(pool, key=Trigger.sort_key)[0]
-        grown, pi_safe = apply_trigger(instance, chosen, fresh)
-        delta = [
-            at
-            for at in sorted(
-                {pi_safe.apply_atom(h) for h in chosen.rule.head.sorted_atoms()},
-                key=lambda a: a.sort_key(),
-            )
-            if at not in instance
-        ]
-        stats = index.apply_delta(grown, delta, satisfied_hint=chosen)
+        before = instance.copy()
+        pi_safe, delta = apply_trigger(instance, chosen, fresh)
+        expected = []
+        for head_atom in chosen.rule.head.sorted_atoms():
+            at = pi_safe.apply_atom(head_atom)
+            if at not in before and at not in expected:
+                expected.append(at)
+        assert delta == expected  # the new atoms, in head order
+        assert instance == before.union(delta)  # applied in place
+        stats = index.apply_delta(instance, delta, satisfied_hint=chosen)
         assert stats["delta_atoms"] == len(delta)
-        assert set(index._live.keys()) == rescan(kb.rules, grown)
-        assert index._satisfied == rescan_satisfied(kb.rules, grown)
+        assert set(index._live.keys()) == rescan(kb.rules, instance)
+        assert index._satisfied == rescan_satisfied(kb.rules, instance)
 
 
 class TestHomomorphismCache:
